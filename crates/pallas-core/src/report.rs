@@ -114,31 +114,42 @@ pub fn render_stage_stats(unit: &AnalyzedUnit) -> String {
 
 /// Escapes `s` as the contents of a JSON string literal (quotes not
 /// included), appending to `out`. Control characters, `"`, and `\` are
-/// escaped; everything else passes through as UTF-8. The appending form
-/// is the primitive: render paths that emit many findings reuse one
-/// buffer instead of allocating a `String` per field.
-pub fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// escaped; everything else passes through as UTF-8. This is the one
+/// JSON string escaper: the NDJSON renderers write into a `String`, and
+/// `pallas-service` writes its values straight into a `Formatter`.
+/// Bytes that need no escape are copied in runs; every escaped byte is
+/// ASCII, so each run ends on a char boundary.
+///
+/// # Errors
+///
+/// Returns an error only when `out` does; writing to a `String` cannot
+/// fail.
+pub fn json_escape_into<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.write_str(&s[run_start..i])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            0x08 => out.write_str("\\b")?,
+            0x0c => out.write_str("\\f")?,
+            _ => write!(out, "\\u{byte:04x}")?,
+        }
+        run_start = i + 1;
     }
+    out.write_str(&s[run_start..])
 }
 
 /// Allocating convenience wrapper over [`json_escape_into`].
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    json_escape_into(&mut out, s);
+    let _ = json_escape_into(&mut out, s);
     out
 }
 
@@ -159,17 +170,17 @@ pub fn finding_json(unit: &AnalyzedUnit, w: &pallas_checkers::Warning) -> String
 /// escaping fields in place — no intermediate strings.
 pub fn finding_json_into(out: &mut String, unit: &AnalyzedUnit, w: &pallas_checkers::Warning) {
     out.push_str("{\"type\":\"finding\",\"unit\":\"");
-    json_escape_into(out, &w.unit);
+    let _ = json_escape_into(out, &w.unit);
     out.push_str("\",\"rule\":\"");
     out.push_str(w.rule.number());
     out.push_str("\",\"class\":\"");
-    json_escape_into(out, &w.rule.class().to_string());
+    let _ = json_escape_into(out, &w.rule.class().to_string());
     out.push_str("\",\"function\":\"");
-    json_escape_into(out, &w.function);
+    let _ = json_escape_into(out, &w.function);
     out.push_str("\",\"file\":\"");
     match unit.merge_map.resolve(w.line) {
         Some((file, line)) => {
-            json_escape_into(out, file);
+            let _ = json_escape_into(out, file);
             let _ = write!(out, "\",\"line\":{line}");
         }
         None => {
@@ -177,7 +188,7 @@ pub fn finding_json_into(out: &mut String, unit: &AnalyzedUnit, w: &pallas_check
         }
     }
     out.push_str(",\"message\":\"");
-    json_escape_into(out, &w.message);
+    let _ = json_escape_into(out, &w.message);
     out.push_str("\"}");
 }
 
@@ -203,13 +214,13 @@ pub fn render_ndjson_into(out: &mut String, unit: &AnalyzedUnit) {
     }
     for issue in &unit.lint {
         out.push_str("{\"type\":\"lint\",\"unit\":\"");
-        json_escape_into(out, &unit.name);
+        let _ = json_escape_into(out, &unit.name);
         out.push_str("\",\"message\":\"");
-        json_escape_into(out, &issue.to_string());
+        let _ = json_escape_into(out, &issue.to_string());
         out.push_str("\"}\n");
     }
     out.push_str("{\"type\":\"unit\",\"unit\":\"");
-    json_escape_into(out, &unit.name);
+    let _ = json_escape_into(out, &unit.name);
     let _ = writeln!(
         out,
         "\",\"functions\":{},\"paths\":{},\"warnings\":{},\"lint\":{}}}",

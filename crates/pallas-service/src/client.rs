@@ -108,7 +108,8 @@ impl Client {
                 "daemon closed the connection",
             ));
         }
-        Ok(response.trim_end_matches('\n').to_string())
+        response.truncate(response.trim_end_matches('\n').len());
+        Ok(response)
     }
 
     /// Writes every request line before reading any response, then

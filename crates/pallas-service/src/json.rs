@@ -7,7 +7,7 @@
 //! rendering when exact, and string escapes cover the full JSON set
 //! including `\uXXXX` with surrogate pairs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,37 +82,51 @@ impl fmt::Display for Value {
                     write!(f, "{n}")
                 }
             }
-            Value::Str(s) => write!(f, "\"{}\"", pallas_core::json_escape(s)),
+            Value::Str(s) => write_quoted(f, s),
             Value::Arr(items) => {
-                f.write_str("[")?;
+                f.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
-                f.write_str("]")
+                f.write_char(']')
             }
             Value::Obj(fields) => {
-                f.write_str("{")?;
+                f.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "\"{}\":{v}", pallas_core::json_escape(k))?;
+                    write_quoted(f, k)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
                 }
-                f.write_str("}")
+                f.write_char('}')
             }
         }
     }
 }
 
+fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    pallas_core::json_escape_into(f, s)?;
+    f.write_char('"')
+}
+
+/// Nesting depth beyond which [`parse`] rejects a document. Requests
+/// and responses nest a handful of levels; the limit keeps a hostile
+/// line of brackets from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to span the whole input
-/// (surrounding whitespace allowed).
+/// (surrounding whitespace allowed). Runs in time linear in the input
+/// length and rejects documents nested deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -135,8 +149,13 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`; `depth` counts the arrays and objects
+/// around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at offset {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
@@ -152,7 +171,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -177,7 +196,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -222,71 +241,75 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     text.parse::<f64>().map(Value::Num).map_err(|_| format!("invalid number `{text}`"))
 }
 
+/// Parses a string literal. Text up to the next `"` or `\` is appended
+/// as one run, so each input byte is looked at a bounded number of
+/// times.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        *pos += 1;
-                        let high = parse_hex4(bytes, pos)?;
-                        let c = if (0xD800..0xDC00).contains(&high) {
-                            // Surrogate pair: a following \uXXXX low half.
-                            if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u')
-                            {
-                                *pos += 2;
-                                let low = parse_hex4(bytes, pos)?;
-                                let combined =
-                                    0x10000 + ((high - 0xD800) << 10) + (low.wrapping_sub(0xDC00));
-                                char::from_u32(combined).unwrap_or('\u{FFFD}')
-                            } else {
-                                '\u{FFFD}'
-                            }
-                        } else {
-                            char::from_u32(high).unwrap_or('\u{FFFD}')
-                        };
-                        out.push(c);
-                        continue; // parse_hex4 already advanced past the digits
-                    }
-                    _ => return Err(format!("invalid escape at offset {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty by the match");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+        out.push_str(text);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        let escaped = match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                *pos += 1;
+                out.push(parse_unicode_escape(bytes, pos)?);
+                continue; // already past the hex digits
+            }
+            _ => return Err(format!("invalid escape at offset {}", *pos)),
+        };
+        out.push(escaped);
+        *pos += 1;
     }
 }
 
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let end = *pos + 4;
-    if end > bytes.len() {
-        return Err("truncated \\u escape".into());
+/// Decodes the `XXXX` of a `\uXXXX` escape at `pos`, joining it with a
+/// following `\uXXXX` low surrogate when it is a high one. A surrogate
+/// without its partner decodes to U+FFFD; an escape after a high
+/// surrogate that is not a low one is left for the caller to decode on
+/// its own.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let high = parse_hex4(bytes, pos)?;
+    if (0xD800..0xDC00).contains(&high) && bytes[*pos..].starts_with(b"\\u") {
+        let mut after_low = *pos + 2;
+        let low = parse_hex4(bytes, &mut after_low)?;
+        if (0xDC00..=0xDFFF).contains(&low) {
+            *pos = after_low;
+            let combined = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+            return Ok(char::from_u32(combined).expect("a surrogate pair encodes a scalar value"));
+        }
     }
-    let text = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
-    let code = u32::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape `{text}`"))?;
-    *pos = end;
+    Ok(char::from_u32(high).unwrap_or('\u{FFFD}'))
+}
+
+fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let digits = bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
+    let mut code = 0;
+    for &digit in digits {
+        let value = char::from(digit).to_digit(16).ok_or_else(|| {
+            format!("bad \\u escape `{}`", String::from_utf8_lossy(digits))
+        })?;
+        code = code * 16 + value;
+    }
+    *pos += 4;
     Ok(code)
 }
 
@@ -308,6 +331,70 @@ pub fn n(num: u64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// The char-by-char escaper that `pallas_core::json_escape_into`
+    /// replaced, kept as the reference its output must match.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Every control character, the two characters JSON always
+    /// escapes, DEL, and 1- to 4-byte UTF-8 text.
+    fn pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        pieces.extend(["\"", "\\", "\u{7f}", "a", "/", "\\u0041", "é", "€", "😀"].map(String::from));
+        pieces
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn string_values_roundtrip_and_escape_like_the_reference(
+            picks in collection::vec(0..pieces().len(), 0..64)
+        ) {
+            let pieces = pieces();
+            let text: String = picks.iter().map(|&i| pieces[i].as_str()).collect();
+            let line = Value::Str(text.clone()).to_string();
+            prop_assert_eq!(&line, &format!("\"{}\"", reference_escape(&text)));
+            prop_assert_eq!(pallas_core::json_escape(&text), reference_escape(&text));
+            prop_assert_eq!(parse(&line).unwrap(), Value::Str(text));
+        }
+    }
+
+    #[test]
+    fn four_mib_string_parses() {
+        let piece = "fast path \"é\" \\ 😀\n";
+        let text = piece.repeat((4 << 20) / piece.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let line = Value::Str(text.clone()).to_string();
+        assert_eq!(parse(&line).unwrap(), Value::Str(text));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
 
     #[test]
     fn roundtrips_nested_document() {
@@ -334,8 +421,36 @@ mod tests {
     }
 
     #[test]
+    fn unpaired_surrogates_decode_to_replacement_characters() {
+        for (line, want) in [
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{FFFD}😀"),
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ud83dx""#, "\u{FFFD}x"),
+            (r#""\ude00\ud83d""#, "\u{FFFD}\u{FFFD}"),
+        ] {
+            assert_eq!(parse(line).unwrap(), Value::Str(want.into()), "{line}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,", "\"open", "tru", "{\"a\":1}x", "nan"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,",
+            "\"open",
+            "tru",
+            "{\"a\":1}x",
+            "nan",
+            r#""\u+041""#,
+            r#""\u00g1""#,
+            r#""\ud83d\u+041""#,
+            r#""\u00"#,
+            r#""\x""#,
+            r#""tail\"#,
+        ] {
             assert!(parse(bad).is_err(), "accepted `{bad}`");
         }
     }

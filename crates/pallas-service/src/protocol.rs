@@ -271,18 +271,20 @@ pub fn kinded_error_response(kind: &str, message: &str) -> String {
 
 /// Builds the batch response: per-unit response objects in request
 /// order, each identical to what a lone `check` would have returned.
+/// The per-unit lines are spliced in as they are, never re-parsed.
 pub fn batch_response(results: &[Result<AnalyzedUnit, PallasError>]) -> String {
-    let items: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let line = match r {
-                Ok(analyzed) => check_response(analyzed),
-                Err(err) => analysis_error_response(err),
-            };
-            json::parse(&line).expect("responses are valid JSON")
-        })
-        .collect();
-    obj(vec![("ok", Value::Bool(true)), ("results", Value::Arr(items))]).to_string()
+    let mut out = String::from("{\"ok\":true,\"results\":[");
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&match result {
+            Ok(analyzed) => check_response(analyzed),
+            Err(err) => analysis_error_response(err),
+        });
+    }
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]
@@ -406,11 +408,46 @@ mod tests {
         let bad = SourceUnit::new("bad").with_file("b.c", "int f( {").with_spec("");
         let driver = Pallas::new();
         let results = vec![driver.check_unit(&unit()), driver.check_unit(&bad)];
-        let value = json::parse(&batch_response(&results)).unwrap();
+        let line = batch_response(&results);
+        let value = json::parse(&line).unwrap();
         let items = value.get("results").and_then(Value::as_arr).unwrap();
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].get("unit").and_then(Value::as_str), Some("mm/demo"));
         assert_eq!(items[1].get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(items[1].get("kind").and_then(Value::as_str), Some("analysis"));
+
+        // The spliced line is byte-identical to parsing every per-unit
+        // line into a `Value` and rendering the whole object again.
+        let reparsed: Vec<Value> = results
+            .iter()
+            .map(|r| {
+                json::parse(&match r {
+                    Ok(analyzed) => check_response(analyzed),
+                    Err(err) => analysis_error_response(err),
+                })
+                .unwrap()
+            })
+            .collect();
+        let rerendered =
+            obj(vec![("ok", Value::Bool(true)), ("results", Value::Arr(reparsed))]).to_string();
+        assert_eq!(line, rerendered);
+        assert_eq!(batch_response(&[]), r#"{"ok":true,"results":[]}"#);
+    }
+
+    #[test]
+    fn whole_corpus_batch_request_roundtrips() {
+        let units: Vec<SourceUnit> = pallas_corpus::new_paths()
+            .into_iter()
+            .chain(pallas_corpus::studied())
+            .chain(pallas_corpus::known_bugs())
+            .chain(pallas_corpus::mined_rules())
+            .chain(pallas_corpus::infeasible())
+            .chain(pallas_corpus::new_bug_examples())
+            .map(|cu| cu.unit)
+            .collect();
+        let request = Request::Batch { units, delay: None, rules: RuleSelection::default() };
+        let line = request.to_line();
+        assert!(line.len() > 50_000, "corpus line is only {} bytes", line.len());
+        assert_eq!(Request::parse(&line).unwrap(), request);
     }
 }

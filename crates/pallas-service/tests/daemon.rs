@@ -548,6 +548,26 @@ fn oversized_request_line_gets_clean_error_and_connection_survives() {
 }
 
 #[test]
+fn hostile_json_lines_get_clean_errors_and_connection_survives() {
+    let path = socket_path("hostile");
+    let handle = Server::start(&path, ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(&path).unwrap();
+    // Far deeper than the parser's recursion could survive unbounded.
+    let deep = client.request_line(&"[".repeat(200_000)).unwrap();
+    let parsed = pallas_service::json::parse(&deep).unwrap();
+    assert!(!ok(&parsed), "{parsed}");
+    assert!(deep.contains("nesting deeper than"), "{deep}");
+    // A high surrogate followed by an escape that is not a low one.
+    let surrogate = client.request_line(r#"{"op":"\ud83d\u0041"}"#).unwrap();
+    assert!(surrogate.contains("unknown op `\u{FFFD}A`"), "{surrogate}");
+    let fine = client.check(&demo_unit(0)).unwrap();
+    assert!(ok(&fine), "{fine}");
+    let stats = client.stats().unwrap();
+    assert_eq!(stat(&stats, "service", "protocol_errors"), 2, "{stats}");
+    handle.stop();
+}
+
+#[test]
 fn mid_request_disconnect_leaves_daemon_serving_others() {
     let path = socket_path("discon");
     let handle = Server::start(

@@ -41,6 +41,23 @@ done
 "$PALLAS_BIN" client "$SOCK" check "$SMOKE_DIR/smoke.c" | grep -q "Rule 1.2"
 "$PALLAS_BIN" client "$SOCK" check "$SMOKE_DIR/smoke.c" --json | grep -q '"type":"finding"'
 "$PALLAS_BIN" client "$SOCK" stats | grep -q '"cache_hits":1'
+# Hostile lines on one connection: 200 000 nested `[`, then a high
+# surrogate escape followed by a non-surrogate escape, then a normal
+# check. Both hostile lines must get clean `ok:false` replies and the
+# daemon must keep serving.
+{
+  head -c 200000 /dev/zero | tr '\0' '['
+  echo
+  printf '%s\n' '{"op":"\ud83d\u0041"}'
+  printf '%s\n' '{"op":"check","unit":{"name":"smoke","files":[{"name":"s.c","contents":"int f(void) { return 0; }\n"}],"spec":"fastpath f;"}}'
+} > "$SMOKE_DIR/hostile.jsonl"
+"$PALLAS_BIN" client "$SOCK" request "$SMOKE_DIR/hostile.jsonl" > "$SMOKE_DIR/hostile.out"
+[ "$(wc -l < "$SMOKE_DIR/hostile.out")" -eq 3 ] \
+  || { echo "ci: expected 3 replies to the hostile lines" >&2; exit 1; }
+sed -n 1p "$SMOKE_DIR/hostile.out" | grep -q '"ok":false,"error":"malformed request: nesting deeper than'
+sed -n 2p "$SMOKE_DIR/hostile.out" | grep -q '"ok":false,"error":"unknown op'
+sed -n 3p "$SMOKE_DIR/hostile.out" | grep -q '"ok":true'
+kill -0 "$SERVE_PID" || { echo "ci: daemon died on hostile lines" >&2; exit 1; }
 "$PALLAS_BIN" client "$SOCK" shutdown | grep -q '"shutdown":true'
 wait "$SERVE_PID"
 echo "daemon smoke test: ok"
