@@ -123,6 +123,12 @@ pub struct PathSet {
 /// `pallas-sym` feasibility engine is the production implementation;
 /// this crate only defines the hook so the DFS can cut doomed
 /// prefixes before the `max_steps` / `max_paths` budgets bite.
+///
+/// An oracle may also just observe: `pallas-sym`'s extractor rides
+/// these hooks to interpret each prefix once, relying on every
+/// [`enter_block`](PathOracle::enter_block) of a `Return` block being
+/// exactly one completed path (the limits are checked before a block
+/// is entered).
 pub trait PathOracle {
     /// The walk extended the current prefix with `bb`.
     fn enter_block(&mut self, cfg: &Cfg, bb: BlockId);

@@ -218,13 +218,25 @@ impl FunctionPaths {
 }
 
 /// The path database for one merged translation unit.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct PathDb {
     /// Unit name (for reports).
     pub unit: String,
     /// Per-function path sets, in source order.
     pub functions: Vec<FunctionPaths>,
     by_name: HashMap<String, usize>,
+}
+
+/// Prints `unit` and `functions` only: the name index is derived from
+/// `functions`, and as a `HashMap` it would print in a different order
+/// on every run.
+impl fmt::Debug for PathDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathDb")
+            .field("unit", &self.unit)
+            .field("functions", &self.functions)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PathDb {
@@ -442,5 +454,33 @@ mod tests {
         assert_eq!(e.line(), 7);
         assert_eq!(e.depth(), 0);
         assert!(e.atoms().contains(&"x"));
+    }
+
+    #[test]
+    fn path_db_debug_is_deterministic_and_omits_the_name_index() {
+        let fp = |name: &str| FunctionPaths {
+            name: name.into(),
+            signature: format!("int {name}(void)"),
+            params: vec![],
+            line: 1,
+            records: vec![],
+            truncated: false,
+            pruned: 0,
+        };
+        let build = || {
+            let mut db = PathDb::new("u");
+            for name in ["a", "b", "c", "d", "e", "f", "g", "h"] {
+                db.insert(fp(name));
+            }
+            db
+        };
+        let text = format!("{:?}", build());
+        assert!(!text.contains("by_name"), "{text}");
+        assert!(text.starts_with("PathDb { unit: \"u\", functions: ["), "{text}");
+        // Fresh `HashMap`s get fresh random seeds: the rendering must not
+        // depend on them.
+        for _ in 0..8 {
+            assert_eq!(format!("{:?}", build()), text);
+        }
     }
 }

@@ -8,20 +8,35 @@
 //! appended at `depth + 1` — mirroring the paper's "inlines a limited
 //! number of callee functions" design (§4).
 //!
-//! Allocation discipline: one [`Evaluator`] is reused across all paths
-//! of a function (its environment map keeps its capacity), expression
-//! renderings / atom sets / lvalue keys are memoized per [`ExprId`] in
-//! unit-scoped caches, and environment keys are interned [`Istr`]s —
-//! the per-path cost is event construction, not re-deriving the same
-//! strings path after path.
+//! The interpreter rides the enumeration DFS as a [`PathOracle`]
+//! instead of replaying every finished path from the entry block. The
+//! DFS prefix (block entries and accepted decision arms) is kept as a
+//! stack of steps; when the walk enters a `Return` block, the steps no
+//! earlier path has evaluated are evaluated in order, each in an undo
+//! frame (environment bindings it changed, event-stack length,
+//! temporary counter, havoc count), and
+//! one [`PathRecord`] is materialized from the shared event stack.
+//! Backtracking pops the step and unwinds its frame. Paths that share
+//! a prefix therefore share its evaluation, and prefixes no path
+//! completes (unrollings cut by the visit cap, dead ends) are never
+//! evaluated. The [`FeasibilityOracle`], when pruning is on, is
+//! consulted first, so a vetoed arm never touches the interpreter.
+//!
+//! Allocation discipline: the walk's buffers (environment, undo
+//! trail, DFS stacks) are pooled in unit-scoped caches and stay warm
+//! across functions; expression renderings / atom sets / lvalue keys
+//! are memoized per [`ExprId`]; environment keys are interned
+//! [`Istr`]s. A completed path's record takes the event stack itself,
+//! and the walk copies back only the prefix it resumes from — the
+//! per-path cost is that copy, not re-deriving the events.
 
 use crate::event::{Event, FunctionPaths, OutputRecord, PathDb, PathRecord};
 use crate::feasible::FeasibilityOracle;
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
 use pallas_cfg::{
-    build_cfg, enumerate_paths_reusing, summarize_loops, CfgPath, Decision, LoopSummary, NoOracle,
-    PathConfig, PathScratch,
+    build_cfg, enumerate_paths_reusing, summarize_loops, BlockId, Cfg, Decision, LoopSummary,
+    PathConfig, PathOracle, PathScratch, Terminator,
 };
 use pallas_lang::ast::{AssignOp, Ast, ExprId, ExprKind, StmtKind, UnOp};
 use pallas_lang::{expr_to_string, LineMap};
@@ -137,7 +152,9 @@ impl<'a> FunctionExtractor<'a> {
     /// `(hits, misses)` of the callee summary memo so far. A hit means
     /// a call site reused an already-computed `(callee, depth)` summary
     /// (including the empty placeholder that breaks recursion cycles)
-    /// instead of re-extracting the callee.
+    /// instead of re-extracting the callee. Call sites are evaluated
+    /// once per DFS edge, not once per path, so a call on a prefix
+    /// shared by many paths counts once.
     pub fn summary_cache_stats(&self) -> (u64, u64) {
         (self.caches.summary_hits, self.caches.summary_misses)
     }
@@ -166,9 +183,10 @@ struct ExtractCaches {
     lvalues: HashMap<ExprId, Option<Istr>>,
     /// Name atoms mentioned by an expression.
     atoms: HashMap<ExprId, Vec<String>>,
-    /// Reused DFS buffers for path enumeration (one per unit, warm
-    /// across every function and inlined callee).
-    paths_scratch: PathScratch,
+    /// Reused walk buffers, one per live extraction: a callee summary
+    /// is extracted in the middle of its caller's walk, so each
+    /// nesting level takes its own entry and puts it back when done.
+    scratch: Vec<WalkScratch>,
     /// Natural loops summarized across every extraction in the unit
     /// (including inlined callees).
     loops_summarized: u64,
@@ -185,22 +203,49 @@ fn extract_function(
 ) -> FunctionPaths {
     let func = ast.function(name).expect("function exists");
     let cfg = build_cfg(ast, func);
-    let paths = if config.prune_infeasible {
-        let mut oracle = FeasibilityOracle::new(ast);
-        if !config.loop_summaries {
-            oracle = oracle.without_loop_summaries();
-        }
-        enumerate_paths_reusing(&cfg, &config.paths, &mut oracle, &mut caches.paths_scratch)
+    // One summary pass per function, shared by the loop-exit havocs
+    // and the oracle (which needs the loop bodies for its blanket
+    // in-loop transparency even with summaries off).
+    let loops = if config.loop_summaries || config.prune_infeasible {
+        summarize_loops(ast, &cfg)
     } else {
-        enumerate_paths_reusing(&cfg, &config.paths, &mut NoOracle, &mut caches.paths_scratch)
+        Vec::new()
     };
-    let summaries = if config.loop_summaries { summarize_loops(ast, &cfg) } else { Vec::new() };
-    caches.loops_summarized += summaries.len() as u64;
-    let mut records = Vec::with_capacity(paths.paths.len());
-    let mut ev = Evaluator::new(ast, lm, config, caches);
-    for (index, path) in paths.paths.iter().enumerate() {
-        records.push(ev.run_path(&cfg, path, index, &summaries));
-    }
+    let oracle = config.prune_infeasible.then(|| {
+        let oracle = FeasibilityOracle::with_loops(ast, &loops);
+        if config.loop_summaries {
+            oracle
+        } else {
+            oracle.without_loop_summaries()
+        }
+    });
+    let havoc_loops: &[LoopSummary] = if config.loop_summaries {
+        caches.loops_summarized += loops.len() as u64;
+        &loops
+    } else {
+        &[]
+    };
+    let mut scratch = caches.scratch.pop().unwrap_or_default();
+    let mut paths_scratch = std::mem::take(&mut scratch.paths);
+    let mut ev = Evaluator {
+        ast,
+        lm,
+        config,
+        loops: havoc_loops,
+        oracle,
+        s: scratch,
+        temp_counter: 0,
+        in_condition: 0,
+        havocs: 0,
+        records: Vec::new(),
+        lent: None,
+        caches,
+    };
+    let paths = enumerate_paths_reusing(&cfg, &config.paths, &mut ev, &mut paths_scratch);
+    let (records, mut scratch) = ev.finish();
+    scratch.paths = paths_scratch;
+    caches.scratch.push(scratch);
+    debug_assert_eq!(records.len(), paths.paths.len(), "one record per enumerated path");
     FunctionPaths {
         name: func.sig.name.clone(),
         signature: func.sig.to_string(),
@@ -261,95 +306,169 @@ fn callee_summary<'c>(
     &caches.summaries[&key]
 }
 
+/// Working buffers of one extraction walk, reused across functions
+/// (see [`ExtractCaches::scratch`]). A finished walk leaves every
+/// stack empty; only capacity carries over.
+#[derive(Default)]
+struct WalkScratch {
+    paths: PathScratch,
+    env: HashMap<Istr, Sym>,
+    /// The current prefix's events (see [`Evaluator::lent`]).
+    events: Vec<Event>,
+    /// Environment undo trail: each binding's key and previous value.
+    env_trail: Vec<(Istr, Option<Sym>)>,
+    /// One frame per evaluated step: `steps[..frames.len()]` have
+    /// been evaluated, the rest await a completed path.
+    frames: Vec<Frame>,
+    /// The DFS prefix: block entries and accepted decision arms.
+    steps: Vec<Step>,
+}
+
+/// One element of the DFS prefix.
+#[derive(Clone)]
+enum Step {
+    /// A block entry; `prev` is the block entered before it, for
+    /// loop-exit detection.
+    Block { bb: BlockId, prev: Option<BlockId> },
+    /// An accepted decision arm.
+    Decision(Decision),
+}
+
+/// What backtracking out of one block entry or decision arm restores:
+/// the environment trail and event-stack lengths (truncating the
+/// events also drops the `Call.assigned_to` patches made in the frame)
+/// plus the scalar walk state.
+struct Frame {
+    env_trail: usize,
+    events: usize,
+    temp_counter: u32,
+    havocs: u64,
+}
+
+/// The symbolic interpreter, driven by the enumeration DFS as a
+/// [`PathOracle`] (see the module docs).
 struct Evaluator<'a> {
     ast: &'a Ast,
     lm: &'a LineMap,
     config: &'a ExtractConfig,
-    env: HashMap<Istr, Sym>,
+    /// Loops whose exits havoc their may-written keys (empty with
+    /// loop summaries off).
+    loops: &'a [LoopSummary],
+    /// The feasibility oracle, asked first about every decision arm.
+    oracle: Option<FeasibilityOracle<'a>>,
+    s: WalkScratch,
     temp_counter: u32,
     in_condition: u32,
-    events: Vec<Event>,
+    /// Bindings havocked at loop exits along the current prefix.
+    havocs: u64,
+    records: Vec<PathRecord>,
+    /// `Some(len)` after a path completes: its record took the event
+    /// stack, whose first `len` events are the current prefix's. The
+    /// walk copies them back only if it evaluates another step, so the
+    /// last path, and each path's suffix past the point where the walk
+    /// resumes, are moved rather than cloned.
+    lent: Option<usize>,
     caches: &'a mut ExtractCaches,
 }
 
 impl<'a> Evaluator<'a> {
-    fn new(
-        ast: &'a Ast,
-        lm: &'a LineMap,
-        config: &'a ExtractConfig,
-        caches: &'a mut ExtractCaches,
-    ) -> Self {
-        Evaluator {
-            ast,
-            lm,
-            config,
-            env: HashMap::new(),
-            temp_counter: 0,
-            in_condition: 0,
-            events: Vec::new(),
-            caches,
+    /// The records of every completed path, in DFS order, plus the
+    /// (empty, warm) buffers for the next walk.
+    fn finish(self) -> (Vec<PathRecord>, WalkScratch) {
+        debug_assert!(self.s.steps.is_empty() && self.s.frames.is_empty());
+        (self.records, self.s)
+    }
+
+    fn open_frame(&mut self) {
+        if let Some(len) = self.lent.take() {
+            let last = self.records.last().expect("a lent stack belongs to a record");
+            self.s.events.extend_from_slice(&last.events[..len]);
+        }
+        self.s.frames.push(Frame {
+            env_trail: self.s.env_trail.len(),
+            events: self.s.events.len(),
+            temp_counter: self.temp_counter,
+            havocs: self.havocs,
+        });
+    }
+
+    fn close_frame(&mut self) {
+        let WalkScratch { env, events, env_trail, frames, .. } = &mut self.s;
+        let frame = frames.pop().expect("balanced frame stack");
+        for (key, prev) in env_trail.drain(frame.env_trail..).rev() {
+            match prev {
+                Some(v) => env.insert(key, v),
+                None => env.remove(&key),
+            };
+        }
+        match &mut self.lent {
+            Some(len) => *len = frame.events.min(*len),
+            None => events.truncate(frame.events),
+        }
+        self.temp_counter = frame.temp_counter;
+        self.havocs = frame.havocs;
+    }
+
+    /// Evaluates the steps of the current prefix that no earlier
+    /// completed path went through, each in its own frame.
+    fn catch_up(&mut self, cfg: &Cfg) {
+        while self.s.frames.len() < self.s.steps.len() {
+            let step = self.s.steps[self.s.frames.len()].clone();
+            self.open_frame();
+            match step {
+                Step::Block { bb, prev } => self.exec_block(cfg, bb, prev),
+                Step::Decision(d) => self.record_decision(&d),
+            }
         }
     }
 
-    /// Interprets one enumerated path, resetting per-path state but
-    /// keeping the environment map's capacity and every unit-scoped
-    /// memo warm.
-    fn run_path(
-        &mut self,
-        cfg: &pallas_cfg::Cfg,
-        path: &CfgPath,
-        index: usize,
-        loops: &[LoopSummary],
-    ) -> PathRecord {
-        self.env.clear();
-        self.temp_counter = 0;
-        self.in_condition = 0;
-        self.events.clear();
-        // Parameters start as symbolic inputs of their own name.
-        // (The environment defaults to `Input(name)` on lookup, so
-        // nothing to seed.)
-        let mut decision_iter = path.decisions.iter().peekable();
-        for (i, &bb) in path.blocks.iter().enumerate() {
-            // A loop-exit stand-in path ran the body a bounded number
-            // of times; the real execution may have run it arbitrarily
-            // often. Havoc exactly the may-written set so post-loop
-            // events never see the k-th iteration's bindings. (Loops
-            // are in deterministic `find_loops` order and `may_write`
-            // is a BTreeSet, so havoc order is stable.)
-            if i > 0 {
-                let prev = path.blocks[i - 1];
-                for l in loops {
-                    if l.body.contains(&prev) && !l.body.contains(&bb) {
-                        for key in &l.may_write {
-                            self.env.insert(Istr::new(key), Sym::unknown());
-                            self.caches.vars_havocked += 1;
-                        }
-                    }
-                }
-            }
-            let block = cfg.block(bb);
-            for &stmt in &block.stmts {
-                self.exec_stmt(stmt);
-            }
-            for &(b, step) in &cfg.step_exprs {
-                if b == bb {
-                    self.eval(step);
-                }
-            }
-            // If this block made a decision on the path, record it.
-            let is_last = i + 1 == path.blocks.len();
-            if !is_last {
-                if let Some(d) = decision_iter.peek() {
-                    if d.block() == bb {
-                        let d = decision_iter.next().expect("peeked");
-                        self.record_decision(d);
-                    }
+    /// Drops the last step of the prefix, unwinding its frame if it
+    /// was evaluated.
+    fn backtrack(&mut self) {
+        self.s.steps.pop();
+        if self.s.frames.len() > self.s.steps.len() {
+            self.close_frame();
+        }
+    }
+
+    fn exec_block(&mut self, cfg: &Cfg, bb: BlockId, prev: Option<BlockId>) {
+        // A loop-exit stand-in path ran the body a bounded number of
+        // times; the real execution may have run it arbitrarily often.
+        // Havoc exactly the may-written set so post-loop events never
+        // see the k-th iteration's bindings. (Loops are in
+        // deterministic `find_loops` order and `may_write` is a
+        // BTreeSet, so havoc order is stable.)
+        if let Some(prev) = prev {
+            let loops = self.loops;
+            for l in loops.iter().filter(|l| l.contains(prev) && !l.contains(bb)) {
+                for key in &l.may_write {
+                    self.bind(Istr::new(key), Sym::unknown());
+                    self.havocs += 1;
                 }
             }
         }
-        let output = match path.ret {
+        for &stmt in &cfg.block(bb).stmts {
+            self.exec_stmt(stmt);
+        }
+        for &(b, step) in &cfg.step_exprs {
+            if b == bb {
+                self.eval(step);
+            }
+        }
+    }
+
+    fn bind(&mut self, key: Istr, value: Sym) {
+        let prev = self.s.env.insert(key, value);
+        self.s.env_trail.push((key, prev));
+    }
+
+    /// Records the path ending in `Return` block `bb`: evaluates the
+    /// returned expression (inside `bb`'s frame) and hands the event
+    /// stack to the record.
+    fn complete_path(&mut self, cfg: &Cfg, bb: BlockId, ret: Option<ExprId>) {
+        let output = match ret {
             Some(e) => {
-                let value = self.eval_in_return(e);
+                let value = self.eval(e);
                 OutputRecord {
                     line: self.line_of(e),
                     text: self.text_of(e),
@@ -358,17 +477,19 @@ impl<'a> Evaluator<'a> {
                 }
             }
             None => OutputRecord {
-                line: path
-                    .blocks
-                    .last()
-                    .map(|&b| self.lm.line(cfg.block(b).span.start))
-                    .unwrap_or(0),
+                line: self.lm.line(cfg.block(bb).span.start),
                 text: String::new(),
                 value: None,
                 vars: Vec::new(),
             },
         };
-        PathRecord { index, events: std::mem::take(&mut self.events), output }
+        self.caches.vars_havocked += self.havocs;
+        let index = self.records.len();
+        let mut events = std::mem::take(&mut self.s.events);
+        // The stack grew by doubling; a record keeps only what it uses.
+        events.shrink_to_fit();
+        self.lent = Some(events.len());
+        self.records.push(PathRecord { index, events, output });
     }
 
     fn line_of(&self, e: ExprId) -> u32 {
@@ -391,7 +512,7 @@ impl<'a> Evaluator<'a> {
         match &stmt.kind {
             StmtKind::Decl { name, init, .. } => {
                 let line = self.lm.line(stmt.span.start);
-                self.events.push(Event::Decl {
+                self.s.events.push(Event::Decl {
                     line,
                     name: name.clone(),
                     has_init: init.is_some(),
@@ -403,7 +524,7 @@ impl<'a> Evaluator<'a> {
                         let value = self.detemporalize_call(value, name);
                         let text = format!("{name} = {}", self.text_of(*e));
                         let reads = self.atoms_of(*e);
-                        self.events.push(Event::State {
+                        self.s.events.push(Event::State {
                             line,
                             lvalue: name.clone(),
                             value,
@@ -411,12 +532,12 @@ impl<'a> Evaluator<'a> {
                             reads,
                             depth: 0,
                         });
-                        self.env.insert(Istr::new(name), value);
+                        self.bind(Istr::new(name), value);
                     }
                     None => {
                         // Declared but uninitialized: poison so reads
                         // can be recognized by the init checker.
-                        self.env.insert(Istr::new(name), Sym::unknown());
+                        self.bind(Istr::new(name), Sym::unknown());
                     }
                 }
             }
@@ -435,7 +556,7 @@ impl<'a> Evaluator<'a> {
                 self.in_condition -= 1;
                 let text = self.text_of(*cond);
                 let vars = self.atoms_of(*cond);
-                self.events.push(Event::Cond {
+                self.s.events.push(Event::Cond {
                     line: self.line_of(*cond),
                     text,
                     symbolic: sym.to_string(),
@@ -460,7 +581,7 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 let text = format!("{}{case_text}", self.text_of(*scrutinee));
-                self.events.push(Event::Cond {
+                self.s.events.push(Event::Cond {
                     line: self.line_of(*scrutinee),
                     text,
                     symbolic: format!("{sym}{case_text}"),
@@ -472,24 +593,25 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_in_return(&mut self, e: ExprId) -> Sym {
-        self.eval(e)
-    }
-
     /// If the value is a raw call result, rewrite it as a `V#` temp (the
     /// Table 5 convention) and point the most recent Call event at the
-    /// assigned lvalue.
+    /// assigned lvalue. A raw call result only exists inside the
+    /// expression that made the call, so the patched event was pushed
+    /// in the current frame and unwinding it also drops the patch.
     fn detemporalize_call(&mut self, value: Sym, lvalue: &str) -> Sym {
         if let SymNode::Call { .. } = value.node() {
-            for e in self.events.iter_mut().rev() {
-                // Only the function's own call events qualify — summary
-                // events spliced from callees sit at depth > 0 and must
-                // not absorb the assignment.
-                if let Event::Call { assigned_to, depth: 0, .. } = e {
-                    if assigned_to.is_none() {
-                        *assigned_to = Some(lvalue.to_string());
-                        break;
-                    }
+            // Only the function's own call events qualify — summary
+            // events spliced from callees sit at depth > 0 and must not
+            // absorb the assignment.
+            let target = self
+                .s
+                .events
+                .iter()
+                .rposition(|e| matches!(e, Event::Call { assigned_to: None, depth: 0, .. }));
+            if let Some(i) = target {
+                debug_assert!(self.s.frames.last().is_some_and(|f| i >= f.events));
+                if let Event::Call { assigned_to, .. } = &mut self.s.events[i] {
+                    *assigned_to = Some(lvalue.to_string());
                 }
             }
             self.temp_counter += 1;
@@ -545,7 +667,7 @@ impl<'a> Evaluator<'a> {
     /// Environment lookup falling back to a symbolic input of the key's
     /// own spelling.
     fn env_value(&self, key: Istr) -> Sym {
-        self.env.get(&key).copied().unwrap_or_else(|| Sym::input(key))
+        self.s.env.get(&key).copied().unwrap_or_else(|| Sym::input(key))
     }
 
     fn eval(&mut self, e: ExprId) -> Sym {
@@ -570,7 +692,7 @@ impl<'a> Evaluator<'a> {
                         );
                         let text = self.text_of(e);
                         let reads = self.atoms_of(inner);
-                        self.events.push(Event::State {
+                        self.s.events.push(Event::State {
                             line: self.line_of(e),
                             lvalue: key.to_string(),
                             value: new,
@@ -578,7 +700,7 @@ impl<'a> Evaluator<'a> {
                             reads,
                             depth: 0,
                         });
-                        self.env.insert(key, new);
+                        self.bind(key, new);
                         return match op {
                             UnOp::PostInc | UnOp::PostDec => value,
                             _ => new,
@@ -630,7 +752,7 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 let text = self.text_of(e);
-                self.events.push(Event::State {
+                self.s.events.push(Event::State {
                     line: self.line_of(e),
                     lvalue: key.to_string(),
                     value,
@@ -638,7 +760,7 @@ impl<'a> Evaluator<'a> {
                     reads,
                     depth: 0,
                 });
-                self.env.insert(key, value);
+                self.bind(key, value);
                 value
             }
             ExprKind::Ternary(c, t, el) => {
@@ -648,7 +770,7 @@ impl<'a> Evaluator<'a> {
                 self.in_condition -= 1;
                 let text = self.text_of(c);
                 let vars = self.atoms_of(c);
-                self.events.push(Event::Cond {
+                self.s.events.push(Event::Cond {
                     line: self.line_of(c),
                     text,
                     symbolic: sym.to_string(),
@@ -676,7 +798,7 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 }
-                self.events.push(Event::Call {
+                self.s.events.push(Event::Call {
                     line: self.line_of(e),
                     callee: callee_name.to_string(),
                     arg_vars,
@@ -702,7 +824,7 @@ impl<'a> Evaluator<'a> {
                             | Event::Call { depth, .. }
                             | Event::Decl { depth, .. } => *depth += 1,
                         }
-                        self.events.push(ev);
+                        self.s.events.push(ev);
                     }
                 }
                 Sym::call(callee_name, arg_syms)
@@ -735,6 +857,47 @@ impl<'a> Evaluator<'a> {
                 self.eval(a);
                 self.eval(b)
             }
+        }
+    }
+}
+
+impl PathOracle for Evaluator<'_> {
+    fn enter_block(&mut self, cfg: &Cfg, bb: BlockId) {
+        if let Some(oracle) = &mut self.oracle {
+            oracle.enter_block(cfg, bb);
+        }
+        let prev = self.s.steps.iter().rev().find_map(|step| match step {
+            Step::Block { bb, .. } => Some(*bb),
+            Step::Decision(_) => None,
+        });
+        self.s.steps.push(Step::Block { bb, prev });
+        if let Terminator::Return(ret) = cfg.block(bb).term {
+            self.catch_up(cfg);
+            self.complete_path(cfg, bb, ret);
+        }
+    }
+
+    fn push_decision(&mut self, cfg: &Cfg, d: &Decision) -> bool {
+        if let Some(oracle) = &mut self.oracle {
+            if !oracle.push_decision(cfg, d) {
+                return false;
+            }
+        }
+        self.s.steps.push(Step::Decision(d.clone()));
+        true
+    }
+
+    fn pop_decision(&mut self) {
+        self.backtrack();
+        if let Some(oracle) = &mut self.oracle {
+            oracle.pop_decision();
+        }
+    }
+
+    fn leave_block(&mut self, cfg: &Cfg, bb: BlockId) {
+        self.backtrack();
+        if let Some(oracle) = &mut self.oracle {
+            oracle.leave_block(cfg, bb);
         }
     }
 }
@@ -834,6 +997,64 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn call_assignment_patch_survives_backtracking_into_later_branches() {
+        // The `assigned_to` patch lands in the entry block's frame,
+        // which every path shares; unwinding the branch arms must not
+        // undo it, and each record must carry its own patched copy.
+        let db = db_of(
+            "int g(int a);\n\
+             int f(int x, int y) {\n\
+               int r = g(x);\n\
+               if (r)\n\
+                 r = 1;\n\
+               else\n\
+                 r = 2;\n\
+               if (y)\n\
+                 return r;\n\
+               return 0;\n\
+             }",
+        );
+        let f = db.function("f").unwrap();
+        assert_eq!(f.records.len(), 4);
+        for rec in &f.records {
+            let calls: Vec<_> = rec.calls().collect();
+            assert_eq!(calls.len(), 1);
+            assert!(
+                matches!(calls[0], Event::Call { assigned_to: Some(r), .. } if r == "r"),
+                "path {} lost the assignment target: {:?}",
+                rec.index,
+                calls[0]
+            );
+        }
+        let indices: Vec<usize> = f.records.iter().map(|r| r.index).collect();
+        assert_eq!(indices, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn loop_exit_havocs_count_once_per_completed_path() {
+        // One loop exit edge on the prefix, shared by the four paths
+        // the two branches after it fan out into: the havoc count is
+        // per completed path (2 keys × 8 paths), not per DFS edge.
+        let src = "int f(int a, int b, int n) {\n\
+               int s = 0;\n\
+               while (n) { s = s + 1; n--; }\n\
+               if (a) s = 1;\n\
+               if (b) s = 2;\n\
+               return s;\n\
+             }";
+        let ast = parse(src).unwrap();
+        let mut fx = FunctionExtractor::new(&ast, src, &ExtractConfig::default());
+        let f = fx.extract_function("f");
+        // 0 or 1 iterations (the visit cap) × 4 branch combinations.
+        assert_eq!(f.records.len(), 8);
+        assert_eq!(fx.loop_summary_stats(), (1, 2 * 8));
+        // The two paths that assign nothing after the loop return the
+        // havocked `s`, whatever the loop ran.
+        let havocked = f.records.iter().filter(|r| r.output.value == Some(Sym::unknown())).count();
+        assert_eq!(havocked, 2);
     }
 
     #[test]

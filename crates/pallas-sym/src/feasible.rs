@@ -43,7 +43,9 @@
 
 use crate::intern::Istr;
 use crate::sym::{Sym, SymNode};
-use pallas_cfg::{summarize_loops, BlockId, Cfg, CounterDir, Decision, PathOracle, Terminator};
+use pallas_cfg::{
+    summarize_loops, BlockId, Cfg, CounterDir, Decision, LoopSummary, PathOracle, Terminator,
+};
 use pallas_lang::ast::{AssignOp, Ast, BinOp, ExprId, ExprKind, StmtKind, UnOp};
 use pallas_lang::expr_to_string;
 use std::collections::{BTreeSet, HashMap};
@@ -463,6 +465,16 @@ struct OracleLoop {
     counters: Vec<(Istr, CounterDir)>,
 }
 
+impl From<&LoopSummary> for OracleLoop {
+    fn from(l: &LoopSummary) -> Self {
+        OracleLoop {
+            body: l.body.clone(),
+            may_write: l.may_write.iter().map(|s| Istr::new(s)).collect(),
+            counters: l.counters.iter().map(|(k, d)| (Istr::new(k), *d)).collect(),
+        }
+    }
+}
+
 /// A [`PathOracle`] that vetoes provably infeasible decision arms.
 ///
 /// The oracle mirrors the extraction evaluator's environment handling
@@ -498,7 +510,10 @@ pub struct FeasibilityOracle<'a> {
     frames: Vec<Frame>,
     cons: ConstraintSet,
     temp: u32,
-    /// Natural-loop effect summaries, computed on first block entry.
+    /// Natural-loop effect summaries: given up front by
+    /// [`with_loops`](FeasibilityOracle::with_loops), or computed from
+    /// the first CFG walked by an oracle built with
+    /// [`new`](FeasibilityOracle::new).
     loops: Option<Vec<OracleLoop>>,
     /// Summary-aware asserting and loop-exit havoc; `false` restores
     /// the pre-summary blanket transparency.
@@ -517,8 +532,10 @@ pub struct FeasibilityOracle<'a> {
 }
 
 impl<'a> FeasibilityOracle<'a> {
-    /// An oracle for paths of functions in `ast`, with loop-summary
-    /// reasoning enabled.
+    /// An oracle for paths of one function in `ast`, with loop-summary
+    /// reasoning enabled. The loop summaries are computed from the CFG
+    /// on the first block entry; a caller that already has them uses
+    /// [`with_loops`](FeasibilityOracle::with_loops) instead.
     pub fn new(ast: &'a Ast) -> Self {
         FeasibilityOracle {
             ast,
@@ -534,6 +551,14 @@ impl<'a> FeasibilityOracle<'a> {
             reads: HashMap::new(),
             callees: HashMap::new(),
         }
+    }
+
+    /// An oracle for paths of the function whose CFG `loops` was
+    /// computed from (by [`summarize_loops`]), with loop-summary
+    /// reasoning enabled.
+    pub fn with_loops(ast: &'a Ast, loops: &[LoopSummary]) -> Self {
+        let loops = loops.iter().map(OracleLoop::from).collect();
+        FeasibilityOracle { loops: Some(loops), ..Self::new(ast) }
     }
 
     /// Disables loop-summary reasoning: every decision inside any
@@ -913,15 +938,8 @@ impl<'a> FeasibilityOracle<'a> {
 impl PathOracle for FeasibilityOracle<'_> {
     fn enter_block(&mut self, cfg: &Cfg, bb: BlockId) {
         if self.loops.is_none() {
-            let loops = summarize_loops(self.ast, cfg)
-                .into_iter()
-                .map(|l| OracleLoop {
-                    body: l.body,
-                    may_write: l.may_write.iter().map(|s| Istr::new(s)).collect(),
-                    counters: l.counters.iter().map(|(k, d)| (Istr::new(k), *d)).collect(),
-                })
-                .collect();
-            self.loops = Some(loops);
+            let loops = summarize_loops(self.ast, cfg);
+            self.loops = Some(loops.iter().map(OracleLoop::from).collect());
         }
         *self.visits.entry(bb.0).or_insert(0) += 1;
         self.push_frame();

@@ -103,13 +103,20 @@ print(f"trace smoke: ok ({len(events)} event(s), layers {sorted(cats)})")
 EOF
 
 echo "== fuzz smoke (fixed seed, differential oracles) =="
-# Two runs with the same seed must print the same digest line; any
-# panic or oracle divergence makes `pallas fuzz` exit nonzero.
+# Two runs with the same seed must print the same digest line, and
+# both pinned runs must print their recorded digests; any panic or
+# oracle divergence makes `pallas fuzz` exit nonzero.
 FUZZ_A="$("$PALLAS_BIN" fuzz --seed 42 --iters 200)"
 FUZZ_B="$("$PALLAS_BIN" fuzz --seed 42 --iters 200)"
+FUZZ_7="$("$PALLAS_BIN" fuzz --seed 7 --iters 64)"
 echo "$FUZZ_A"
+echo "$FUZZ_7"
 echo "$FUZZ_A" | grep -q "failures=0" || { echo "ci: fuzz smoke found failures" >&2; exit 1; }
 [ "$FUZZ_A" = "$FUZZ_B" ] || { echo "ci: fuzz digest not deterministic: '$FUZZ_A' vs '$FUZZ_B'" >&2; exit 1; }
+echo "$FUZZ_A" | grep -q "seed=42 iters=200 digest=31799da0ce2258b9 failures=0" \
+  || { echo "ci: fuzz digest moved: '$FUZZ_A'" >&2; exit 1; }
+echo "$FUZZ_7" | grep -q "seed=7 iters=64 digest=0ef9ca10476c10d4 failures=0" \
+  || { echo "ci: fuzz digest moved: '$FUZZ_7'" >&2; exit 1; }
 echo "fuzz smoke: ok"
 
 echo "== feasibility pruning ablation =="
