@@ -2,14 +2,15 @@
 //!
 //! [`Engine`] runs the pipeline as five explicit stages —
 //! **Merge → Parse → Spec → Extract → Check** — each producing a typed
-//! artifact plus a [`StageTiming`]. The first four stages (the
-//! *frontend*) are memoized in a content-addressed cache keyed by an
-//! FNV-1a fingerprint over the unit's name, files, spec text, and
-//! extraction configuration ([`fingerprint`]), so re-checking the same
-//! unit — as the `repro` harness does when Tables 1, 7, and 8 all
-//! evaluate the same corpus — merges, parses, and extracts it exactly
-//! once. The Check stage always runs (it is cheap relative to
-//! extraction and its warnings are what callers came for).
+//! artifact plus a [`StageTiming`]. A unit's finished analysis — the
+//! artifacts of the first four stages (the *frontend*) together with
+//! the Check stage's warnings — is memoized in a content-addressed
+//! cache keyed by an FNV-1a fingerprint over the unit's name, files,
+//! spec text, extraction configuration and rule selection
+//! ([`fingerprint`]). The checkers are a pure function of those
+//! inputs, so re-checking the same unit — as the `repro` harness does
+//! when Tables 1, 7, and 8 all evaluate the same corpus — runs every
+//! stage exactly once; a repeat is a lookup.
 //!
 //! Batches go through a work-stealing scheduler ([`schedule`]) that
 //! keeps skewed workloads balanced, and every unit is panic-isolated:
@@ -31,9 +32,9 @@
 //!     .with_file("demo.c", "int f(void) { return 0; }")
 //!     .with_spec("fastpath f;");
 //! engine.check_unit(&unit)?;
-//! let again = engine.check_unit(&unit)?; // frontend served from cache
-//! assert!(again.stage_timings.iter().any(|t| t.cached));
-//! assert_eq!(engine.stats().parses, 1);
+//! let again = engine.check_unit(&unit)?; // served from cache
+//! assert!(again.stage_timings.iter().all(|t| t.cached));
+//! assert_eq!((engine.stats().parses, engine.stats().checks), (1, 1));
 //! # Ok(())
 //! # }
 //! ```
@@ -49,9 +50,9 @@ pub use store_layer::STORE_FORMAT_VERSION;
 use crate::pipeline::{AnalyzedUnit, PallasError, PallasErrorKind};
 use crate::unit::{MergeMap, SourceUnit};
 use cache::BoundedCache;
-use pallas_checkers::{run_rules_timed, CheckContext, RuleSet, Warning};
+use pallas_checkers::{run_rules_timed, CheckContext, CheckerTiming, RuleSet, Warning};
 use pallas_lang::{parse, Ast};
-use pallas_spec::{parse_pragma, parse_spec, FastPathSpec};
+use pallas_spec::{parse_pragma, parse_spec, FastPathSpec, LintIssue};
 use pallas_sym::{ExtractConfig, FunctionExtractor, PathDb};
 use std::fmt;
 use std::path::PathBuf;
@@ -181,7 +182,8 @@ pub struct EngineStats {
     pub spec_parses: u64,
     /// Extract stage invocations.
     pub extracts: u64,
-    /// Check stage invocations.
+    /// Check stage invocations (cache and store hits excluded — they
+    /// re-serve the warnings of an earlier Check).
     pub checks: u64,
     /// Paths extracted across all Extract stage invocations (cache
     /// hits excluded — they re-serve previously extracted paths).
@@ -263,7 +265,9 @@ impl EngineStats {
     }
 }
 
-/// Frontend artifacts shared between repeated checks of one unit.
+/// The finished analysis of one unit under one fingerprint, shared
+/// between repeated checks: the frontend artifacts plus the Check
+/// stage's output for the key's rule selection.
 #[derive(Debug)]
 struct Frontend {
     merged_src: String,
@@ -274,6 +278,10 @@ struct Frontend {
     ast: Arc<Ast>,
     spec: FastPathSpec,
     db: Arc<PathDb>,
+    // Exact-size slices: entries stay resident for the cache's
+    // lifetime, so no spare capacity is kept.
+    warnings: Box<[Warning]>,
+    lint: Box<[LintIssue]>,
 }
 
 #[derive(Debug, Default)]
@@ -479,9 +487,10 @@ impl Engine {
         self.inner.cache.lock().expect("engine cache").clear();
     }
 
-    /// Runs the staged pipeline on one unit, reusing cached frontend
-    /// artifacts when this engine has checked an identical unit
-    /// (same name, files, spec, and configuration) before.
+    /// Runs the staged pipeline on one unit. When this engine has
+    /// checked an identical unit (same name, files, spec,
+    /// configuration and rules) before, the finished analysis is
+    /// served from the cache and no stage runs.
     ///
     /// # Errors
     ///
@@ -518,104 +527,27 @@ impl Engine {
                 vec![("fingerprint", pallas_trace::AttrValue::U64(key))],
             );
         }
-        // The store layer sits under the memory cache: a memory miss
-        // first consults the disk record (zero Extract/Check work on a
-        // hit); a disk miss computes and persists. `disk_warnings`
-        // carries a disk hit's finished warnings past the Check stage;
-        // `persist_keys` carries a computed unit's function keys to the
-        // persist step after Check.
-        let mut disk_warnings: Option<Vec<Warning>> = None;
-        let mut persist_keys: Option<Vec<u64>> = None;
-        let frontend = match cached {
-            Some(frontend) => {
+        let (entry, checker_timings) = match cached {
+            Some(entry) => {
                 counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                for stage in [Stage::Merge, Stage::Parse, Stage::Spec, Stage::Extract] {
-                    timings.push(StageTiming { stage, elapsed: Duration::ZERO, cached: true });
-                }
-                frontend
+                timings.extend(Stage::ALL.map(|stage| StageTiming {
+                    stage,
+                    elapsed: Duration::ZERO,
+                    cached: true,
+                }));
+                (entry, Vec::new())
             }
             None => {
                 counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                match self.store_unit_lookup(unit, key) {
-                    Some((functions, warnings)) => {
-                        // Disk hit: re-run only the cheap base stages
-                        // (the AST feeds reports), splice the stored
-                        // path database and warnings in, and mark
-                        // Extract/Check as served-from-cache.
-                        let (merged_src, merge_map, ast, spec) =
-                            self.build_base(unit, &mut timings)?;
-                        let mut db = PathDb::new(unit.name.clone());
-                        for fp in functions {
-                            db.insert(fp);
-                        }
-                        timings.push(StageTiming {
-                            stage: Stage::Extract,
-                            elapsed: Duration::ZERO,
-                            cached: true,
-                        });
-                        disk_warnings = Some(warnings);
-                        let frontend = Arc::new(Frontend {
-                            merged_src,
-                            merge_map,
-                            ast: Arc::new(ast),
-                            spec,
-                            db: Arc::new(db),
-                        });
-                        self.cache_frontend(key, &frontend);
-                        frontend
-                    }
-                    None => {
-                        let (frontend, func_keys) = self.build_frontend(unit, &mut timings)?;
-                        persist_keys = func_keys;
-                        let frontend = Arc::new(frontend);
-                        self.cache_frontend(key, &frontend);
-                        frontend
-                    }
-                }
+                let (entry, checker_timings) = self.analyze(unit, key, rules, &mut timings)?;
+                let entry = Arc::new(entry);
+                self.cache_frontend(key, &entry);
+                (entry, checker_timings)
             }
         };
-        let (warnings, checker_timings, lint) = match disk_warnings {
-            Some(warnings) => {
-                // The stored warnings are the Check stage's exact
-                // output for this fingerprint (rule set included), so
-                // Check is served from the store like Extract.
-                timings.push(StageTiming {
-                    stage: Stage::Check,
-                    elapsed: Duration::ZERO,
-                    cached: true,
-                });
-                let lint = frontend.spec.lint();
-                (warnings, Vec::new(), lint)
-            }
-            None => {
-                let check_span =
-                    pallas_trace::span(pallas_trace::Layer::Stage, Stage::Check.name());
-                let check_started = Instant::now();
-                let (warnings, checker_timings) = run_rules_timed(
-                    &CheckContext {
-                        db: &frontend.db,
-                        spec: &frontend.spec,
-                        ast: &frontend.ast,
-                    },
-                    rules,
-                );
-                let lint = frontend.spec.lint();
-                drop(check_span);
-                counters.checks.fetch_add(1, Ordering::Relaxed);
-                timings.push(StageTiming {
-                    stage: Stage::Check,
-                    elapsed: check_started.elapsed(),
-                    cached: false,
-                });
-                (warnings, checker_timings, lint)
-            }
-        };
-        if let (Some(func_keys), Some(store)) = (&persist_keys, &self.inner.store) {
-            if let Ok(mut guard) = store.lock() {
-                guard.put_unit(store_layer::unit_key(key), &unit.name, key, func_keys, &warnings);
-            }
-        }
-        for w in &warnings {
+        // Memory hits, store hits and fresh computations all return
+        // their unit from one finished entry.
+        for w in entry.warnings.iter() {
             if let Some(idx) =
                 pallas_checkers::Rule::ALL.iter().position(|&r| r == w.rule)
             {
@@ -623,21 +555,21 @@ impl Engine {
             }
         }
         unit_span.attr_bool("cached", hit);
-        unit_span.attr_u64("warnings", warnings.len() as u64);
-        for t in &timings {
+        unit_span.attr_u64("warnings", entry.warnings.len() as u64);
+        for t in timings.iter().filter(|t| !t.cached) {
             counters.stage_nanos[t.stage.index()]
                 .fetch_add(t.elapsed.as_nanos() as u64, Ordering::Relaxed);
         }
         counters.units_checked.fetch_add(1, Ordering::Relaxed);
         Ok(AnalyzedUnit {
             name: unit.name.clone(),
-            merged_src: frontend.merged_src.clone(),
-            merge_map: frontend.merge_map.clone(),
-            ast: frontend.ast.clone(),
-            db: frontend.db.clone(),
-            spec: frontend.spec.clone(),
-            warnings,
-            lint,
+            merged_src: entry.merged_src.clone(),
+            merge_map: entry.merge_map.clone(),
+            ast: entry.ast.clone(),
+            db: entry.db.clone(),
+            spec: entry.spec.clone(),
+            warnings: entry.warnings.to_vec(),
+            lint: entry.lint.to_vec(),
             elapsed: started.elapsed(),
             stage_timings: timings,
             checker_timings,
@@ -722,8 +654,8 @@ impl Engine {
             .collect()
     }
 
-    /// Inserts a built (or disk-restored) frontend into the memory
-    /// cache, reporting evictions to the tracer.
+    /// Inserts a finished (computed or disk-restored) analysis into
+    /// the memory cache, reporting evictions to the tracer.
     fn cache_frontend(&self, key: u64, frontend: &Arc<Frontend>) {
         let mut cache = self.inner.cache.lock().expect("engine cache");
         let evictions_before = cache.evictions();
@@ -787,31 +719,91 @@ impl Engine {
         outcome
     }
 
-    /// Runs the four frontend stages, recording a timing per stage.
-    /// With a store configured, Extract reuses per-function records
-    /// whose content hash is unchanged, re-extracting (and persisting)
-    /// only the rest; the returned keys (one per function, source
-    /// order) feed the unit record persisted after Check.
-    fn build_frontend(
+    /// Builds the finished analysis for a memory-cache miss, recording
+    /// a timing per stage. The store layer sits under the memory
+    /// cache: on a disk hit only the cheap base stages re-run (reports
+    /// need the AST and spec) and the stored path database and
+    /// warnings are spliced in, so Extract and Check are served from
+    /// disk; on a disk miss all five stages run and the result is
+    /// persisted.
+    fn analyze(
         &self,
         unit: &SourceUnit,
+        key: u64,
+        rules: &RuleSet,
         timings: &mut Vec<StageTiming>,
-    ) -> Result<(Frontend, Option<Vec<u64>>), PallasError> {
-        let counters = &self.inner.counters;
+    ) -> Result<(Frontend, Vec<CheckerTiming>), PallasError> {
+        let stored = self.store_unit_lookup(unit, key);
         let (merged_src, merge_map, ast, spec) = self.build_base(unit, timings)?;
+        let (db, warnings, lint, checker_timings) = match stored {
+            Some((functions, warnings)) => {
+                let mut db = PathDb::new(unit.name.clone());
+                for fp in functions {
+                    db.insert(fp);
+                }
+                timings.extend([Stage::Extract, Stage::Check].map(|stage| StageTiming {
+                    stage,
+                    elapsed: Duration::ZERO,
+                    cached: true,
+                }));
+                (db, warnings, spec.lint(), Vec::new())
+            }
+            None => {
+                let (db, func_keys) = self.extract(unit, &ast, &merged_src, timings);
+                let span = pallas_trace::span(pallas_trace::Layer::Stage, Stage::Check.name());
+                let t = Instant::now();
+                let (warnings, checker_timings) =
+                    run_rules_timed(&CheckContext { db: &db, spec: &spec, ast: &ast }, rules);
+                let lint = spec.lint();
+                drop(span);
+                self.inner.counters.checks.fetch_add(1, Ordering::Relaxed);
+                timings.push(StageTiming {
+                    stage: Stage::Check,
+                    elapsed: t.elapsed(),
+                    cached: false,
+                });
+                if let (Some(func_keys), Some(store)) = (&func_keys, &self.inner.store) {
+                    if let Ok(mut guard) = store.lock() {
+                        let unit_key = store_layer::unit_key(key);
+                        guard.put_unit(unit_key, &unit.name, key, func_keys, &warnings);
+                    }
+                }
+                (db, warnings, lint, checker_timings)
+            }
+        };
+        let frontend = Frontend {
+            merged_src,
+            merge_map,
+            ast: Arc::new(ast),
+            spec,
+            db: Arc::new(db),
+            warnings: warnings.into_boxed_slice(),
+            lint: lint.into_boxed_slice(),
+        };
+        Ok((frontend, checker_timings))
+    }
 
+    /// Runs the Extract stage, recording its timing. With a store
+    /// configured, it reuses per-function records whose content hash
+    /// is unchanged, re-extracting (and persisting) only the rest; the
+    /// returned keys (one per function, source order) feed the unit
+    /// record persisted after Check.
+    fn extract(
+        &self,
+        unit: &SourceUnit,
+        ast: &Ast,
+        merged_src: &str,
+        timings: &mut Vec<StageTiming>,
+    ) -> (PathDb, Option<Vec<u64>>) {
+        let counters = &self.inner.counters;
         let mut span = pallas_trace::span(pallas_trace::Layer::Stage, Stage::Extract.name());
         let t = Instant::now();
         counters.extracts.fetch_add(1, Ordering::Relaxed);
         let (db, func_keys) = match &self.inner.store {
             Some(store) => {
-                let keys = store_layer::function_content_keys(
-                    &ast,
-                    &merged_src,
-                    &self.inner.config.extract,
-                );
-                let mut fx =
-                    FunctionExtractor::new(&ast, &merged_src, &self.inner.config.extract);
+                let keys =
+                    store_layer::function_content_keys(ast, merged_src, &self.inner.config.extract);
+                let mut fx = FunctionExtractor::new(ast, merged_src, &self.inner.config.extract);
                 let mut db = PathDb::new(unit.name.clone());
                 for (name, fkey) in &keys {
                     let reused =
@@ -876,8 +868,7 @@ impl Engine {
                 // Same extraction as `pallas_sym::extract`, but through
                 // the incremental entry point so the loop-summary
                 // counters are observable.
-                let mut fx =
-                    FunctionExtractor::new(&ast, &merged_src, &self.inner.config.extract);
+                let mut fx = FunctionExtractor::new(ast, merged_src, &self.inner.config.extract);
                 let mut db = PathDb::new(unit.name.clone());
                 for func in ast.functions() {
                     db.insert(fx.extract_function(&func.sig.name));
@@ -897,8 +888,7 @@ impl Engine {
         span.attr_u64("paths", db.path_count() as u64);
         span.attr_u64("pruned", db.pruned_paths() as u64);
         drop(span);
-
-        Ok((Frontend { merged_src, merge_map, ast: Arc::new(ast), spec, db: Arc::new(db) }, func_keys))
+        (db, func_keys)
     }
 
     /// Runs the Merge, Parse, and Spec stages — the cheap part of the
@@ -1010,9 +1000,44 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.parses, 1);
         assert_eq!(stats.extracts, 1);
-        assert_eq!(stats.checks, 2);
-        assert!(warm.stage_timings[..4].iter().all(|t| t.cached));
-        assert!(!warm.stage_timings[4].cached, "check never caches");
+        assert_eq!(stats.checks, 1, "a hit re-serves the stored warnings");
+        let stages: Vec<Stage> = warm.stage_timings.iter().map(|t| t.stage).collect();
+        assert_eq!(stages, Stage::ALL);
+        assert!(warm.stage_timings.iter().all(|t| t.cached && t.elapsed.is_zero()));
+        assert!(warm.checker_timings.is_empty());
+    }
+
+    #[test]
+    fn hits_under_interleaved_rule_selections_match_fresh_engines() {
+        use pallas_checkers::Rule;
+        // `expensive` makes rule 7.1 fire; the repeated `immutable`
+        // gives the unit a spec lint note.
+        let mut unit = buggy_unit();
+        unit.spec_text.push_str(" expensive helper; immutable m;");
+        let selections = [
+            RuleSet::all(),
+            RuleSet::only([Rule::FastPathExpensive]),
+            RuleSet::all().without(Rule::ImmutableOverwrite),
+        ];
+        let fresh: Vec<AnalyzedUnit> = selections
+            .iter()
+            .map(|rules| Engine::new().check_unit_with_rules(&unit, rules).unwrap())
+            .collect();
+        assert!(fresh[1].warnings.iter().all(|w| w.rule == Rule::FastPathExpensive));
+        assert!(!fresh[1].warnings.is_empty() && fresh[0].warnings.len() > fresh[2].warnings.len());
+        assert!(!fresh[0].lint.is_empty());
+        let engine = Engine::new();
+        for round in 0..3 {
+            for (rules, expected) in selections.iter().zip(&fresh) {
+                let got = engine.check_unit_with_rules(&unit, rules).unwrap();
+                assert_eq!(got.from_cache(), round > 0);
+                assert_eq!(got.warnings, expected.warnings, "{rules:?} round {round}");
+                assert_eq!(got.lint, expected.lint);
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.checks, selections.len() as u64, "one Check per selection");
+        assert_eq!(stats.cache_hits, 2 * selections.len() as u64);
     }
 
     #[test]
@@ -1220,6 +1245,25 @@ mod tests {
         engine.check_unit(&unit).unwrap();
         assert_eq!(engine.stats().cache_hits, 1);
         assert_eq!(engine.stats().store_unit_hits, 1, "memory hit skips the store");
+    }
+
+    #[test]
+    fn memory_hit_after_a_store_hit_serves_the_stored_result() {
+        let (path, _cleanup) = store_path("memo");
+        let unit = buggy_unit();
+        store_engine(&path).check_unit(&unit).unwrap();
+        let engine = store_engine(&path);
+        let from_disk = engine.check_unit(&unit).unwrap();
+        let from_memory = engine.check_unit(&unit).unwrap();
+        let fresh = Engine::new().check_unit(&unit).unwrap();
+        assert!(!fresh.warnings.is_empty());
+        assert_eq!(from_disk.warnings, fresh.warnings);
+        assert_eq!(from_memory.warnings, from_disk.warnings);
+        assert_eq!(from_memory.lint, from_disk.lint);
+        assert!(from_memory.stage_timings.iter().all(|t| t.cached));
+        let stats = engine.stats();
+        assert_eq!((stats.store_unit_hits, stats.cache_hits), (1, 1), "{stats:?}");
+        assert_eq!(stats.checks, 0, "neither hit runs Check: {stats:?}");
     }
 
     #[test]

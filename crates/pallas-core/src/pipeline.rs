@@ -76,7 +76,8 @@ pub struct AnalyzedUnit {
     /// Per-stage timings in pipeline order; cached stages carry
     /// `cached: true` and zero elapsed time.
     pub stage_timings: Vec<StageTiming>,
-    /// Per-checker-family timings from the Check stage.
+    /// Per-checker-family timings from the Check stage; empty when
+    /// the unit's warnings were served from the cache or the store.
     pub checker_timings: Vec<CheckerTiming>,
 }
 

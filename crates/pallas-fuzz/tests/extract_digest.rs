@@ -19,8 +19,9 @@
 //! `max_len`, `max_steps`).
 
 use pallas_cfg::PathConfig;
+use pallas_core::engine::fingerprint::Fnv1a;
 use pallas_core::SourceUnit;
-use pallas_fuzz::{fnv1a, generate, generate_with, GenConfig, FNV_OFFSET};
+use pallas_fuzz::{generate, generate_with, GenConfig};
 use pallas_lang::Ast;
 use pallas_sym::{ExtractConfig, FunctionExtractor, PathDb};
 use std::fmt::Write;
@@ -48,11 +49,11 @@ const EXPECTED: [u64; 14] = [
 
 /// Streams formatted text into an FNV-1a accumulator, so a large
 /// `Debug` rendering is hashed without being materialized.
-struct Fnv(u64);
+struct Fnv(Fnv1a);
 
 impl Write for Fnv {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 = fnv1a(self.0, s.as_bytes());
+        self.0.write(s.as_bytes());
         Ok(())
     }
 }
@@ -122,7 +123,7 @@ fn assert_digests(range: Range<usize>) {
     let configs = configs();
     for i in range {
         let config = &configs[i];
-        let mut h = Fnv(FNV_OFFSET);
+        let mut h = Fnv(Fnv1a::new());
         for (name, src, ast) in parsed() {
             let mut fx = FunctionExtractor::new(ast, src, config);
             let mut db = PathDb::new(name.clone());
@@ -131,7 +132,11 @@ fn assert_digests(range: Range<usize>) {
             }
             write!(h, "{:?}{:?}", db.functions, fx.loop_summary_stats()).unwrap();
         }
-        assert_eq!(h.0, EXPECTED[i], "extractor output digest moved under {config:?}: {:#018x}", h.0);
+        let digest = h.0.finish();
+        assert_eq!(
+            digest, EXPECTED[i],
+            "extractor output digest moved under {config:?}: {digest:#018x}"
+        );
     }
 }
 

@@ -129,7 +129,9 @@ pub struct ServiceMetrics {
     /// minus queue wait and socket overhead).
     pub execute_latency: Histogram,
     /// Per-pipeline-stage latency, in [`Stage::ALL`] order, fed from
-    /// each analyzed unit's stage timings (cached stages record 0).
+    /// each analyzed unit's stage timings. Only stages that ran are
+    /// recorded; cached stages are counted by the engine's
+    /// `cache_hits`, not as 0 µs samples here.
     pub stage_latency: [Histogram; 5],
 }
 
@@ -151,9 +153,10 @@ impl ServiceMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one completed unit's stage timings.
+    /// Records one completed unit's stage timings, skipping stages
+    /// served from cache.
     pub fn record_stages(&self, timings: &[StageTiming]) {
-        for t in timings {
+        for t in timings.iter().filter(|t| !t.cached) {
             self.stage_latency[t.stage as usize].record(t.elapsed);
         }
     }
@@ -349,6 +352,25 @@ mod tests {
         for h in &metrics.stage_latency {
             assert_eq!(h.bounds_us(), &[10, 20]);
         }
+    }
+
+    #[test]
+    fn stage_histograms_count_only_stages_that_ran() {
+        let metrics = ServiceMetrics::default();
+        let timing = |stage, cached| StageTiming {
+            stage,
+            elapsed: if cached { Duration::ZERO } else { Duration::from_micros(40) },
+            cached,
+        };
+        let counts = |m: &ServiceMetrics| m.stage_latency.each_ref().map(Histogram::count);
+        metrics.record_stages(&Stage::ALL.map(|s| timing(s, false)));
+        assert_eq!(counts(&metrics), [1; 5]);
+        // A memory hit: every stage cached, no histogram moves.
+        metrics.record_stages(&Stage::ALL.map(|s| timing(s, true)));
+        assert_eq!(counts(&metrics), [1; 5]);
+        // A store hit: only Merge, Parse and Spec ran.
+        metrics.record_stages(&Stage::ALL.map(|s| timing(s, s >= Stage::Extract)));
+        assert_eq!(counts(&metrics), [2, 2, 2, 1, 1]);
     }
 
     #[test]

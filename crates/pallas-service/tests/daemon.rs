@@ -71,7 +71,14 @@ fn warm_requests_hit_the_shared_cache_and_match_one_shot_output() {
 
     let stats = second.stats().unwrap();
     assert!(ok(&stats), "{stats}");
-    assert!(stat(&stats, "engine", "cache_hits") > 0, "{stats}");
+    assert_eq!(stat(&stats, "engine", "cache_hits"), 1, "{stats}");
+    let check_runs = stats
+        .get("stats")
+        .and_then(|s| s.get("engine"))
+        .and_then(|s| s.get("stage_runs"))
+        .and_then(|s| s.get("check"))
+        .and_then(Value::as_u64);
+    assert_eq!(check_runs, Some(1), "the warm request runs no Check: {stats}");
     assert_eq!(stat(&stats, "service", "completed"), 2);
     assert!(stat(&stats, "request_latency", "count") >= 2);
 

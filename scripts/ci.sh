@@ -40,7 +40,11 @@ done
 [ -S "$SOCK" ] || { echo "ci: daemon never bound $SOCK" >&2; exit 1; }
 "$PALLAS_BIN" client "$SOCK" check "$SMOKE_DIR/smoke.c" | grep -q "Rule 1.2"
 "$PALLAS_BIN" client "$SOCK" check "$SMOKE_DIR/smoke.c" --json | grep -q '"type":"finding"'
-"$PALLAS_BIN" client "$SOCK" stats | grep -q '"cache_hits":1'
+# The second check is a cache hit and runs no Check stage.
+STATS="$("$PALLAS_BIN" client "$SOCK" stats)"
+echo "$STATS" | grep -q '"cache_hits":1'
+echo "$STATS" | grep -qE '"stage_runs":\{[^}]*"check":1[,}]' \
+  || { echo "ci: expected exactly one Check run in daemon stats: $STATS" >&2; exit 1; }
 # Hostile lines on one connection: 200 000 nested `[`, then a high
 # surrogate escape followed by a non-surrogate escape, then a normal
 # check. Both hostile lines must get clean `ok:false` replies and the

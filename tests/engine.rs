@@ -34,7 +34,7 @@ fn cache_hits_skip_the_frontend_and_misses_rebuild_it() {
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
     assert_eq!(stats.parses, 1);
     assert_eq!(stats.extracts, 1);
-    assert_eq!(stats.checks, 2, "the check stage always runs");
+    assert_eq!(stats.checks, 1, "a hit re-serves the first check's warnings");
 
     // Any change to the spec is a different key: full rebuild.
     let respecced = unit(1).with_spec("fastpath f1; immutable x;");
@@ -107,8 +107,36 @@ fn warm_repro_runs_strictly_fewer_frontend_stages() {
         cold_stats.frontend_runs(),
         "warm pass may not re-run any frontend stage"
     );
-    assert!(warm_stats.checks > cold_stats.checks, "check still runs on the warm pass");
+    assert_eq!(warm_stats.checks, cold_stats.checks, "warm pass may not re-run Check");
     assert!(warm_stats.cache_hits >= new_paths().len() as u64);
+}
+
+#[test]
+fn warm_pass_renders_byte_identical_to_a_cold_engine_over_the_labelled_corpora() {
+    use pallas_core::{render_ndjson, render_unit_report};
+    let units: Vec<SourceUnit> = new_paths()
+        .into_iter()
+        .chain(pallas_corpus::studied())
+        .chain(pallas_corpus::known_bugs())
+        .chain(pallas_corpus::mined_rules())
+        .chain(pallas_corpus::infeasible())
+        .chain(pallas_corpus::new_bug_examples())
+        .map(|cu| cu.unit)
+        .collect();
+    assert_eq!(units.len(), 174);
+    let engine = Engine::new();
+    for unit in &units {
+        engine.check_unit(unit).unwrap();
+    }
+    let checks = engine.stats().checks;
+    for unit in &units {
+        let warm = engine.check_unit(unit).unwrap();
+        let cold = Engine::new().check_unit(unit).unwrap();
+        assert!(warm.from_cache(), "{}", unit.name);
+        assert_eq!(render_ndjson(&warm), render_ndjson(&cold), "{}", unit.name);
+        assert_eq!(render_unit_report(&warm), render_unit_report(&cold), "{}", unit.name);
+    }
+    assert_eq!(engine.stats().checks, checks, "the warm pass runs no Check");
 }
 
 #[test]
