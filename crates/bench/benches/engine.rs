@@ -1,17 +1,10 @@
-//! Staged-engine costs: cold versus warm frontend cache, and the
-//! chunked baseline versus work-stealing scheduling on a skewed
-//! synthetic workload (heavy units clustered at the front, the shape
-//! contiguous chunking handles worst).
-//!
-//! The scheduling comparison is CPU-bound, so the work-stealing win
-//! only shows on multi-core hosts; on a single-core container both
-//! numbers collapse to serial cost plus thread overhead. The
-//! core-count-independent demonstration lives in
-//! `pallas_core::engine::schedule`'s blocking-workload test.
+//! Staged-engine costs: cold versus warm frontend cache over the
+//! Table 1 corpus. Batch scheduling is measured end to end by
+//! `pallasbench --workload batch`; its core-count-independent balance
+//! check is `pallas_core::engine::schedule`'s blocking-workload test.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pallas_core::{Engine, SourceUnit};
-use pallas_corpus::skewed_units;
 
 fn bench_cache(c: &mut Criterion) {
     let corpus = pallas_corpus::new_paths();
@@ -40,21 +33,5 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scheduling(c: &mut Criterion) {
-    let units = skewed_units(48, 17);
-    let jobs = 4;
-    let mut group = c.benchmark_group("engine-scheduling");
-    group.sample_size(10);
-    // Fresh engines per iteration so the frontend cache cannot mask
-    // the scheduling difference.
-    group.bench_with_input(BenchmarkId::new("chunked", jobs), &units, |b, units| {
-        b.iter(|| Engine::new().check_many_chunked(units, jobs))
-    });
-    group.bench_with_input(BenchmarkId::new("work-stealing", jobs), &units, |b, units| {
-        b.iter(|| Engine::new().check_many_jobs(units, jobs))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cache, bench_scheduling);
+criterion_group!(benches, bench_cache);
 criterion_main!(benches);

@@ -20,8 +20,8 @@
 //!
 //! `check` accepts several `.c` files at once — each becomes one unit
 //! (any `.h` arguments are merged into every unit as shared headers) —
-//! and distributes them over `--jobs N` worker threads with work
-//! stealing. `--stage-stats` appends the per-stage timing breakdown;
+//! and distributes them over `--jobs N` worker threads with the
+//! range-splitting batch scheduler. `--stage-stats` appends the per-stage timing breakdown;
 //! `--json` emits the NDJSON findings stream. `--list-rules` prints
 //! the registry catalogue; `--only-rule`/`--disable-rule` scope the
 //! Check stage to a selection of rules named by paper number (`4.1`)

@@ -12,7 +12,7 @@
 //! when Tables 1, 7, and 8 all evaluate the same corpus — runs every
 //! stage exactly once; a repeat is a lookup.
 //!
-//! Batches go through a work-stealing scheduler ([`schedule`]) that
+//! Batches go through a range-splitting scheduler ([`schedule`]) that
 //! keeps skewed workloads balanced, and every unit is panic-isolated:
 //! an internal panic while checking one unit becomes
 //! [`PallasErrorKind::Internal`](crate::PallasErrorKind) for that unit
@@ -588,8 +588,9 @@ impl Engine {
         )
     }
 
-    /// Checks many units with work-stealing parallelism across the
-    /// host's available cores, preserving input order.
+    /// Checks many units in parallel across the host's available
+    /// cores through the range-splitting scheduler, preserving input
+    /// order.
     pub fn check_many(&self, units: &[SourceUnit]) -> Vec<Result<AnalyzedUnit, PallasError>> {
         self.check_many_jobs(units, default_jobs())
     }
@@ -620,28 +621,6 @@ impl Engine {
         F: Fn(&Engine, &SourceUnit) -> Result<AnalyzedUnit, PallasError> + Sync,
     {
         schedule::run_tasks(units, jobs, |unit| f(self, unit))
-            .into_iter()
-            .zip(units)
-            .map(|(outcome, unit)| match outcome {
-                Ok(result) => result,
-                Err(panic_msg) => Err(PallasError {
-                    unit: unit.name.clone(),
-                    kind: PallasErrorKind::Internal(panic_msg),
-                }),
-            })
-            .collect()
-    }
-
-    /// [`check_many_jobs`](Engine::check_many_jobs) with the legacy
-    /// contiguous-chunk partitioning instead of work stealing. Kept as
-    /// the baseline the `engine` benchmark measures against; prefer
-    /// the work-stealing entry points everywhere else.
-    pub fn check_many_chunked(
-        &self,
-        units: &[SourceUnit],
-        jobs: usize,
-    ) -> Vec<Result<AnalyzedUnit, PallasError>> {
-        schedule::run_tasks_chunked(units, jobs, |unit| self.check_unit(unit))
             .into_iter()
             .zip(units)
             .map(|(outcome, unit)| match outcome {

@@ -1,21 +1,25 @@
-//! Work-stealing task scheduler for batch checking.
+//! Range-splitting task scheduler for batch checking.
 //!
-//! [`run_tasks`] distributes items over `jobs` worker threads through
-//! a `crossbeam::deque` injector; idle workers steal from busy ones,
-//! so a batch whose expensive items cluster together (the common shape
-//! of real corpora — a few huge fast paths among many small ones)
-//! stays balanced. [`run_tasks_chunked`] keeps the old contiguous
-//! partitioning as a benchmark baseline.
+//! [`run_tasks`] gives each of its `jobs` worker threads one contiguous
+//! range of item indices — the even split of the batch — and each
+//! worker takes items from the front of its own range, so neighbouring
+//! units (which share interned strings and symbols) run on one thread.
+//! A worker whose range runs dry moves the back half of the fullest
+//! remaining range into its own, so a batch whose expensive items
+//! cluster together (the common shape of real corpora — a few huge
+//! fast paths among many small ones) stays balanced. A worker exits
+//! once every range is empty. The whole scheduler is `std`: one mutex
+//! per range and `std::thread::scope`.
 //!
 //! Every task runs under `catch_unwind`: one panicking item becomes an
 //! `Err(message)` in its own output slot instead of tearing down the
 //! whole batch.
 
-use crossbeam::deque::{Injector, Stealer, Worker};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Runs `f` over every item with work-stealing distribution,
+/// Runs `f` over every item on `jobs` range-splitting workers,
 /// preserving input order in the output. A panicking task yields
 /// `Err(panic message)` for that item only.
 pub fn run_tasks<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
@@ -31,86 +35,64 @@ where
     if jobs == 1 {
         return items.iter().map(|item| run_caught(&f, item)).collect();
     }
-    let injector = Injector::new();
-    for index in 0..items.len() {
-        injector.push(index);
-    }
-    let workers: Vec<Worker<usize>> = (0..jobs).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
+    let chunk = items.len().div_ceil(jobs);
+    let ranges: Vec<Mutex<Range<usize>>> = (0..jobs)
+        .map(|worker| {
+            Mutex::new((worker * chunk).min(items.len())..((worker + 1) * chunk).min(items.len()))
+        })
+        .collect();
     let slots: Vec<Mutex<Option<Result<R, String>>>> =
         (0..items.len()).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for (worker_index, local) in workers.into_iter().enumerate() {
-            let (injector, stealers, slots, f) = (&injector, &stealers, &slots, &f);
-            scope.spawn(move |_| {
+    std::thread::scope(|scope| {
+        for worker_index in 0..jobs {
+            let (ranges, slots, f) = (&ranges, &slots, &f);
+            scope.spawn(move || {
                 let mut span = pallas_trace::span(pallas_trace::Layer::Sched, "worker");
                 span.attr_u64("worker", worker_index as u64);
                 let mut ran = 0u64;
-                while let Some(index) = find_task(&local, injector, stealers) {
+                while let Some(index) = next_index(ranges, worker_index) {
                     *slots[index].lock().expect("result slot") = Some(run_caught(f, &items[index]));
                     ran += 1;
                 }
                 span.attr_u64("tasks", ran);
             });
         }
-    })
-    .expect("workers are panic-isolated by catch_unwind");
+    });
     slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("result slot").expect("every task ran"))
         .collect()
 }
 
-/// The classic find-task loop: local queue first, then a batch from
-/// the injector, then steals from other workers; retries while any
-/// source reports a race.
-fn find_task(
-    local: &Worker<usize>,
-    injector: &Injector<usize>,
-    stealers: &[Stealer<usize>],
-) -> Option<usize> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            injector
-                .steal_batch_and_pop(local)
-                .or_else(|| stealers.iter().map(|s| s.steal()).collect())
-        })
-        .find(|steal| !steal.is_retry())
-        .and_then(|steal| steal.success())
-    })
-}
-
-/// The pre-engine strategy: split items into `jobs` contiguous chunks,
-/// one thread per chunk, no rebalancing. Kept as the baseline the
-/// `engine` benchmark compares work stealing against; skewed workloads
-/// serialize their expensive cluster on a single thread here.
-pub fn run_tasks_chunked<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs == 1 {
-        return items.iter().map(|item| run_caught(&f, item)).collect();
-    }
-    let mut out: Vec<Option<Result<R, String>>> = (0..items.len()).map(|_| None).collect();
-    let chunk_size = items.len().div_ceil(jobs).max(1);
-    let mut pairs: Vec<(&mut Option<Result<R, String>>, &T)> =
-        out.iter_mut().zip(items.iter()).collect();
-    crossbeam::thread::scope(|scope| {
-        for chunk in pairs.chunks_mut(chunk_size) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in chunk.iter_mut() {
-                    **slot = Some(run_caught(f, item));
-                }
-            });
+/// The next index for worker `own`: the front of its own range, or,
+/// once that is empty, the front of the back half it moves over from
+/// the fullest range. `None` once every range is empty. No two range
+/// locks are ever held at once, and an index leaves a range only under
+/// that range's lock, so every index is handed out exactly once.
+fn next_index(ranges: &[Mutex<Range<usize>>], own: usize) -> Option<usize> {
+    loop {
+        if let Some(index) = ranges[own].lock().expect("range").next() {
+            return Some(index);
         }
-    })
-    .expect("workers are panic-isolated by catch_unwind");
-    drop(pairs);
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
+        let victim = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, range)| (range.lock().expect("range").len(), i))
+            .max()
+            .filter(|&(len, _)| len > 0)?
+            .1;
+        let stolen = {
+            let mut range = ranges[victim].lock().expect("range");
+            let mid = range.end - range.len().div_ceil(2);
+            mid..std::mem::replace(&mut range.end, mid)
+        };
+        if !stolen.is_empty() {
+            // Only this worker refills its own range, and thieves only
+            // shrink it, so the empty range cannot have changed.
+            *ranges[own].lock().expect("range") = stolen.start + 1..stolen.end;
+            return Some(stolen.start);
+        }
+    }
 }
 
 fn run_caught<T, R>(f: &impl Fn(&T) -> R, item: &T) -> Result<R, String> {
@@ -126,6 +108,8 @@ fn run_caught<T, R>(f: &impl Fn(&T) -> R, item: &T) -> Result<R, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn preserves_input_order() {
@@ -133,6 +117,33 @@ mod tests {
         let results = run_tasks(&items, 8, |&n| n * 2);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap(), &(i * 2));
+        }
+    }
+
+    /// Every item runs exactly once and lands in its own slot, for
+    /// every batch size up to 40 and every worker count up to 9 —
+    /// `jobs > items`, empty initial ranges and steals of one-item
+    /// ranges included. Every seventh item blocks briefly so ranges
+    /// drain unevenly and workers steal.
+    #[test]
+    fn every_item_runs_exactly_once_in_input_order() {
+        for len in 0..=40usize {
+            for jobs in 1..=9 {
+                let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let items: Vec<usize> = (0..len).collect();
+                let results = run_tasks(&items, jobs, |&i| {
+                    if i % 7 == 3 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    i
+                });
+                let got: Vec<usize> = results.into_iter().map(Result::unwrap).collect();
+                assert_eq!(got, items, "len {len}, jobs {jobs}");
+                for (i, count) in runs.iter().enumerate() {
+                    assert_eq!(count.load(Ordering::SeqCst), 1, "item {i}, len {len}, jobs {jobs}");
+                }
+            }
         }
     }
 
@@ -173,50 +184,28 @@ mod tests {
         assert_eq!(results[1].as_ref().unwrap(), &20);
     }
 
-    #[test]
-    fn chunked_baseline_agrees_with_stealing() {
-        let items: Vec<usize> = (0..50).collect();
-        let a = run_tasks(&items, 4, |&n| n * n);
-        let b = run_tasks_chunked(&items, 4, |&n| n * n);
-        assert_eq!(a, b);
-    }
-
-    /// The scheduling win, demonstrated independently of core count:
+    /// The balancing win, demonstrated independently of core count:
     /// a skewed workload whose cost is blocking time (sleeps overlap
-    /// even on one CPU). The heavy cluster sits at the front, so the
-    /// chunked baseline serializes all of it on worker 0 (makespan ≥
-    /// 8 × 20ms), while stealing spreads it across the four workers.
+    /// even on one CPU). The heavy cluster sits at the front, so a
+    /// fixed contiguous split of 24 items over 4 workers would leave
+    /// items 0..6 — six heavy items, 6 × 20ms = 120ms — on worker 0.
+    /// Splitting ranges moves the heavy items to idle workers: about
+    /// two per worker, ≈ 40ms.
     #[test]
     fn stealing_beats_chunking_on_a_skewed_blocking_workload() {
-        use std::time::{Duration, Instant};
+        use std::time::Instant;
         let costs: Vec<Duration> = (0..24)
             .map(|i| Duration::from_millis(if i < 8 { 20 } else { 1 }))
             .collect();
-        type Runner = fn(&[Duration], usize, fn(&Duration)) -> Vec<Result<(), String>>;
-        let run = |f: Runner| {
-            let started = Instant::now();
-            let results = f(&costs, 4, |d| std::thread::sleep(*d));
-            assert!(results.iter().all(Result::is_ok));
-            started.elapsed()
-        };
-        let chunked = run(run_tasks_chunked::<Duration, (), fn(&Duration)>);
-        let stealing = run(run_tasks::<Duration, (), fn(&Duration)>);
-        // Chunked floor: 6 heavy + light on worker 0 ≥ 120ms. Stealing
-        // spreads the heavy items: ~2 per worker ≈ 40ms. Assert with a
-        // wide margin so scheduler jitter cannot flake the test.
+        let chunked_floor = Duration::from_millis(6 * 20);
+        let started = Instant::now();
+        let results = run_tasks(&costs, 4, |d| std::thread::sleep(*d));
+        let makespan = started.elapsed();
+        assert!(results.iter().all(Result::is_ok));
+        // A wide margin so scheduler jitter cannot flake the test.
         assert!(
-            stealing < chunked * 3 / 4,
-            "work stealing ({stealing:?}) should beat chunking ({chunked:?}) on skewed load"
+            makespan < chunked_floor * 3 / 4,
+            "range splitting ({makespan:?}) should beat the chunked floor ({chunked_floor:?}) on skewed load"
         );
-    }
-
-    #[test]
-    fn chunked_baseline_isolates_panics_too() {
-        let results = run_tasks_chunked(&[0, 1, 2], 3, |&n| {
-            assert!(n != 1, "boom");
-            n
-        });
-        assert!(results[0].is_ok() && results[2].is_ok());
-        assert!(results[1].is_err());
     }
 }

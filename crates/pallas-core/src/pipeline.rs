@@ -3,7 +3,7 @@
 //! [`Pallas`] is the stateless entry point kept for API compatibility;
 //! every call delegates to a fresh staged [`Engine`](crate::Engine),
 //! which owns the actual pipeline, the frontend cache, and the
-//! work-stealing batch scheduler. Callers that check units repeatedly
+//! range-splitting batch scheduler. Callers that check units repeatedly
 //! should hold an `Engine` directly to benefit from caching.
 
 use crate::engine::{default_jobs, Engine, StageTiming};
@@ -148,8 +148,9 @@ impl Pallas {
         self.engine().check_source(name, src, spec_text)
     }
 
-    /// Checks many units in parallel with work stealing across the
-    /// host's cores, preserving input order in the output. A unit
+    /// Checks many units in parallel across the host's cores through
+    /// the range-splitting scheduler, preserving input order in the
+    /// output. A unit
     /// whose analysis panics yields [`PallasErrorKind::Internal`] for
     /// that unit only.
     pub fn check_many(&self, units: &[SourceUnit]) -> Vec<Result<AnalyzedUnit, PallasError>> {

@@ -72,10 +72,10 @@ pub fn synthetic_corpus(n_units: usize, seed: u64) -> Vec<CorpusUnit> {
 
 /// Generates a batch whose cost is deliberately skewed: the first
 /// sixth of the units are heavy (10 branches ≈ 1024 paths before
-/// capping), the rest light (2 branches). With contiguous chunking the
-/// heavy cluster lands on one worker and serializes the batch; work
-/// stealing spreads it — this is the workload the `engine` benchmark
-/// compares the two schedulers on.
+/// capping), the rest light (2 branches). A fixed contiguous split
+/// would put the heavy cluster on one worker and serialize the batch;
+/// the range-splitting batch scheduler has to move it to idle workers,
+/// which `pallasbench --workload batch` exercises.
 pub fn skewed_units(n_units: usize, seed: u64) -> Vec<SourceUnit> {
     let heavy = (n_units / 6).max(1).min(n_units);
     (0..n_units)

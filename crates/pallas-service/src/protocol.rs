@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! {"op":"check","unit":UNIT}                 check one unit
-//! {"op":"batch","units":[UNIT,...]}          check many (work-stealing pool)
+//! {"op":"batch","units":[UNIT,...]}          check many in parallel
 //! {"op":"stats"}                             metrics + engine counters
 //! {"op":"trace"}                             drain the trace collector
 //! {"op":"shutdown"}                          drain in-flight work and exit
@@ -78,7 +78,7 @@ pub enum Request {
         /// Rule scoping for this request.
         rules: RuleSelection,
     },
-    /// Check a batch of units through the work-stealing pool.
+    /// Check a batch of units through the engine's batch scheduler.
     Batch {
         /// The units to analyze, response order = request order.
         units: Vec<SourceUnit>,

@@ -12,8 +12,8 @@
 //!   wall-clock timeout, and drains worker completions back to
 //!   clients in strict per-connection request order;
 //! * a **worker pool** that executes admitted jobs. A `batch` job
-//!   fans its units out through the engine's work-stealing scheduler
-//!   (`check_many_jobs`), so one request can still use every worker.
+//!   fans its units out through the engine's range-splitting scheduler
+//!   (`check_many_with`), so one request can still use every worker.
 //!
 //! Identical concurrent `check` requests are **coalesced**
 //! ([`crate::coalesce`]): keyed by the engine fingerprint, the first
@@ -401,11 +401,8 @@ fn run_job(shared: &Arc<Shared>, kind: &JobKind) -> String {
             if let Some(d) = delay {
                 std::thread::sleep(*d);
             }
-            let result = match rules {
-                Some(set) => shared.engine.check_unit_with_rules(unit, set),
-                None => shared.engine.check_unit(unit),
-            };
-            match result {
+            let rules = rules.as_ref().unwrap_or_else(|| shared.engine.rules());
+            match shared.engine.check_unit_with_rules(unit, rules) {
                 Ok(analyzed) => {
                     ServiceMetrics::bump(&shared.metrics.completed);
                     shared.metrics.record_stages(&analyzed.stage_timings);
@@ -422,12 +419,9 @@ fn run_job(shared: &Arc<Shared>, kind: &JobKind) -> String {
                 std::thread::sleep(*d);
             }
             let jobs = shared.config.workers.max(1);
-            let results = match rules {
-                Some(set) => shared
-                    .engine
-                    .check_many_with(units, jobs, |e, u| e.check_unit_with_rules(u, set)),
-                None => shared.engine.check_many_jobs(units, jobs),
-            };
+            let rules = rules.as_ref().unwrap_or_else(|| shared.engine.rules());
+            let results =
+                shared.engine.check_many_with(units, jobs, |e, u| e.check_unit_with_rules(u, rules));
             for result in &results {
                 match result {
                     Ok(analyzed) => {
